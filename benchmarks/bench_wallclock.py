@@ -93,13 +93,15 @@ def main(argv=None) -> int:
         print(f"{r['batch']:>6} {r['density']:>9g} {r['ref_ms']:>9.3f} "
               f"{r['new_ms']:>9.3f} {r['speedup']:>7.1f}x "
               f"{r['bytes_ratio']:>6.2f}x")
-    print("SpMM dense-block kernels (merge-path vs row-per-warp):")
+    print("SpMM dense-block kernels (merge-path vs row-per-warp; "
+          "+acct = counters on):")
     print(f"{'B':>6} {'density':>9} {'rw ms':>9} {'mp ms':>9} "
-          f"{'speedup':>8} {'bytes':>7}")
+          f"{'speedup':>8} {'bytes':>7} {'rw+acct':>9} {'mp+acct':>9}")
     for r in result["spmm"]:
         print(f"{r['batch']:>6} {r['density']:>9g} {r['ref_ms']:>9.3f} "
               f"{r['new_ms']:>9.3f} {r['speedup']:>7.1f}x "
-              f"{r['bytes_ratio']:>6.2f}x")
+              f"{r['bytes_ratio']:>6.2f}x {r['ref_counters_ms']:>9.3f} "
+              f"{r['new_counters_ms']:>9.3f}")
     print("Sharded out-of-core engine (row strips vs one in-core tiling):")
     print(f"{'shards':>7} {'density':>9} {'ref ms':>9} {'new ms':>9} "
           f"{'speedup':>8} {'exec':>5} {'skip':>5}")

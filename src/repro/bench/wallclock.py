@@ -410,11 +410,19 @@ def run_wallclock(scale: int = 17, edge_factor: int = 16, nt: int = 16,
                 A, Xb, with_counters=False), repeats)
             new_ms = _best_ms(lambda: spmm_merge_path_kernel(
                 A, Xb, with_counters=False), repeats)
+            # the same launches with accounting on: an accounting cost
+            # that outgrows the fold shows as counters_ms >> ms
+            ref_counters_ms = _best_ms(
+                lambda: spmm_row_warp_kernel(A, Xb), repeats)
+            new_counters_ms = _best_ms(
+                lambda: spmm_merge_path_kernel(A, Xb), repeats)
             spmm_rows.append({
                 "batch": bsize,
                 "density": density,
                 "ref_ms": ref_ms,
                 "new_ms": new_ms,
+                "ref_counters_ms": ref_counters_ms,
+                "new_counters_ms": new_counters_ms,
                 "speedup": (ref_ms / new_ms if new_ms > 0
                             else float("inf")),
                 "launches": int(cr.launches),

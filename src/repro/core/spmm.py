@@ -254,11 +254,14 @@ class TileSpMM:
             fn, name = spmm_merge_path_kernel, "tile_spmm_merge_path"
         else:
             fn, name = spmm_row_warp_kernel, "tile_spmm_row_warp"
-        Y, counters = fn(self.hybrid.tiled, Xb, semiring=self.semiring)
+        accounting = self.ctx.accounting
+        Y, counters = fn(self.hybrid.tiled, Xb, semiring=self.semiring,
+                         with_counters=accounting)
         self.ctx.launch(name, counters, phase="spmm", tag=tag)
         if self.hybrid.side.nnz:
             _, side_counters = spmm_coo_side_kernel(
-                self._side_index, Xb, semiring=self.semiring, Y=Y)
+                self._side_index, Xb, semiring=self.semiring, Y=Y,
+                with_counters=accounting)
             self.ctx.launch("tile_spmm_coo_side", side_counters,
                             phase="spmm", tag=tag)
         if output == "dense":

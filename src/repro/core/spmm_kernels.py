@@ -90,7 +90,14 @@ def _spmm_fold(A: TiledMatrix, X: DenseBlock, semiring: Semiring,
     else:
         active = np.any(tiles != X.fill, axis=1)
     entry_tilecol = gcol // nt
+    every_active = active.all(axis=0)
     for j in range(X.B):
+        if every_active[j]:
+            # every entry is selected: skip the O(nnz) mask and its
+            # three compress copies (same entries, same order)
+            products = semiring.mul(vals, X.data[gcol, j])
+            semiring.scatter_merge(Y[:, j], grow, products)
+            continue
         sel = active[entry_tilecol, j]
         if not sel.any():
             continue
@@ -202,14 +209,10 @@ def spmm_merge_path_kernel(A: TiledMatrix, X: DenseBlock,
         return Y, None
 
     counters = _spmm_common_counters(A, X.B)
-    if A.nnz:
-        # distinct (tile, local column) pairs = the row segments of the
-        # dense block the staged chunks actually load; each nonzero
-        # belongs to exactly one, so segments <= nnz always
-        segments = int(np.unique(
-            A.tile_of_entry() * np.int64(A.nt) + A.local_col64()).size)
-    else:
-        segments = 0
+    # distinct (tile, local column) pairs = the row segments of the
+    # dense block the staged chunks actually load; each nonzero belongs
+    # to exactly one, so segments <= nnz always
+    segments = A.n_col_segments()
     counters.l2_read_bytes += segments * X.B * 8.0
     counters.shared_bytes += segments * X.B * 8.0
     n_warps = max(1, -(-A.nnz // MERGE_ITEMS_PER_WARP))

@@ -16,6 +16,7 @@ import numpy as np
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
 from ..gpusim import Device
+from ..runtime import PlanCache
 from ..semiring import MIN_PLUS, Semiring
 from ..vectors.sparse_vector import SparseVector
 
@@ -68,7 +69,8 @@ def connected_components(matrix, nt: int = 16,
     # forwards the source label unchanged
     pattern = COOMatrix(coo.shape, coo.row, coo.col,
                         np.zeros(coo.nnz))
-    op = TileSpMSpV(pattern, nt=nt, semiring=_PROPAGATE, device=device)
+    op = TileSpMSpV(pattern, nt=nt, semiring=_PROPAGATE, device=device,
+                    plan_cache=PlanCache())
 
     labels = np.arange(n, dtype=np.float64)
     frontier = SparseVector(n, np.arange(n), labels.copy())

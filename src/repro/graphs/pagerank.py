@@ -15,6 +15,7 @@ import numpy as np
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
 from ..gpusim import Device
+from ..runtime import PlanCache
 
 __all__ = ["pagerank"]
 
@@ -64,7 +65,9 @@ def pagerank(matrix, damping: float = 0.85, tol: float = 1e-10,
     # column-normalised transition matrix P = A D^{-1}
     P = COOMatrix(coo.shape, coo.row, coo.col,
                   coo.val * inv_weight[coo.col])
-    op = TileSpMSpV(P, nt=nt, device=device)
+    # P is built per call, so its plan can never be hit again: keep it
+    # out of the process-wide cache
+    op = TileSpMSpV(P, nt=nt, device=device, plan_cache=PlanCache())
 
     r = np.full(n, 1.0 / n)
     teleport = (1.0 - damping) / n

@@ -27,6 +27,7 @@ import numpy as np
 from ..core.spmm import TileSpMM
 from ..errors import ShapeError
 from ..gpusim import Device
+from ..runtime import PlanCache
 
 __all__ = ["multi_pagerank", "label_propagation"]
 
@@ -115,7 +116,7 @@ def multi_pagerank(matrix, personalization,
         return np.zeros((0, 1)), 0
     V = _personalization_block(personalization, n)
     B = V.shape[1]
-    op = TileSpMM(P, nt=nt, device=device)
+    op = TileSpMM(P, nt=nt, device=device, plan_cache=PlanCache())
 
     R = V.copy()
     it = 0
@@ -173,7 +174,7 @@ def label_propagation(matrix, seeds,
         Y[v, col_of[int(seeds[v])]] = 1.0
     clamp = Y[seeded].copy()
 
-    op = TileSpMM(P, nt=nt, device=device)
+    op = TileSpMM(P, nt=nt, device=device, plan_cache=PlanCache())
     reached = Y.any(axis=1)
     labels = np.where(reached, np.argmax(Y, axis=1), -1)
     it = 0

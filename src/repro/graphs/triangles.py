@@ -18,6 +18,7 @@ import numpy as np
 from ..core.spmspv import TileSpMSpV
 from ..errors import ShapeError
 from ..gpusim import Device
+from ..runtime import PlanCache
 from ..vectors.sparse_vector import SparseVector
 
 __all__ = ["triangle_count", "triangles_per_vertex"]
@@ -61,7 +62,7 @@ def triangles_per_vertex(matrix, nt: int = 16,
     pattern = COOMatrix(coo.shape, coo.row, coo.col,
                         np.ones(coo.nnz)).without_diagonal()
     csc = pattern.to_csc()
-    op = TileSpMSpV(pattern, nt=nt, device=device)
+    op = TileSpMSpV(pattern, nt=nt, device=device, plan_cache=PlanCache())
 
     counts = np.zeros(n, dtype=np.int64)
     vertices = [v for v in range(n)

@@ -3,8 +3,8 @@
 Runs the row-strip shards of a
 :class:`~repro.shards.sharded_matrix.ShardedTiledMatrix` concurrently:
 a cost-model work scheduler places shards on workers
-(:mod:`repro.parallel.work`), a pool executor runs them with private
-resident-set slices and lookahead prefetch
+(:mod:`repro.parallel.work`), a pool executor runs each worker's queue
+as one in-order task against a private resident-set slice
 (:mod:`repro.parallel.executor`), and the engine merges results as
 they land — bit-identical to sequential execution, with the overlap
 priced honestly on a
@@ -16,10 +16,10 @@ Switched on by ``REPRO_WORKERS=N`` or an explicit
 
 from .config import BACKEND_ENV, WORKERS_ENV, ParallelConfig, env_workers
 from .executor import ParallelExecutor, ShardResult, WorkerSlice
-from .work import WorkChunk, WorkItem, WorkPlan, WorkScheduler
+from .work import WorkItem, WorkPlan, WorkScheduler
 
 __all__ = [
     "ParallelConfig", "WORKERS_ENV", "BACKEND_ENV", "env_workers",
-    "WorkScheduler", "WorkPlan", "WorkItem", "WorkChunk",
+    "WorkScheduler", "WorkPlan", "WorkItem",
     "ParallelExecutor", "WorkerSlice", "ShardResult",
 ]

@@ -67,13 +67,6 @@ class ParallelConfig:
     backend:
         ``auto`` / ``serial`` / ``thread`` / ``process``; see module
         docstring for how ``auto`` resolves.
-    prefetch_depth:
-        How many upcoming shards of a worker's queue the prefetcher
-        touches ahead of the compute loop; ``0`` disables prefetch.
-    steal_chunks:
-        Task chunks per worker the scheduler cuts each worker's shard
-        list into — smaller chunks let an idle pool slot steal the tail
-        of a straggler's queue at the cost of more dispatch overhead.
     affinity:
         Keep a shard sticky to the worker that last ran it (its slice
         of the resident set already holds the pages), stealing only
@@ -83,8 +76,6 @@ class ParallelConfig:
 
     workers: int = 1
     backend: str = "auto"
-    prefetch_depth: int = 1
-    steal_chunks: int = 2
     affinity: bool = True
 
     def __post_init__(self):
@@ -93,10 +84,6 @@ class ParallelConfig:
         if self.backend not in _BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"expected one of {_BACKENDS}")
-        if self.prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
-        if self.steal_chunks < 1:
-            raise ValueError("steal_chunks must be >= 1")
 
     # ------------------------------------------------------------------
     @classmethod

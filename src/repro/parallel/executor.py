@@ -1,91 +1,62 @@
-"""The worker-pool shard executor: slices, backends, prefetch.
+"""The worker-pool shard executor: slices, backends, queues.
 
 Each worker owns a :class:`WorkerSlice` — a private attachment of the
 shard store (:meth:`~repro.shards.store.DirectoryShardStore.attach`),
 its own byte-budgeted :class:`~repro.shards.store.ResidentSetManager`
-(``engine budget // workers``), and its own warmed per-shard plans — so
+(``engine budget // workers``), and its own per-shard plans — so
 workers share *no* mutable state and a shard's pages stay hot on the
 worker that keeps running it (see sticky affinity in
 :mod:`repro.parallel.work`).
 
+Each worker runs its queue of one multiply as **one in-order task**:
+the shards its slice already holds first, most recently used first,
+then the rest in planned order.  Resident hits are taken before any
+load of this multiply can evict them, at most ``workers`` tasks are in
+flight at once, and nothing runs in the background — so a slice's
+load/evict traffic, and every counter downstream of it, depends only
+on the sequence of multiplies, never on thread timing.
+
 Three backends behind one ``run()`` generator:
 
-* ``serial`` — the chunks execute on the calling thread in dispatch
-  order; the reference the pools are checked against, and what a
-  single worker uses.
+* ``serial`` — the queues execute on the calling thread in worker
+  order; the reference the pools are checked against.
 * ``thread`` — a process-wide shared
-  :class:`~concurrent.futures.ThreadPoolExecutor`; chunk results are
-  yielded as futures land (the asynchronous combine).
-* ``process`` — a ``fork``-context ``multiprocessing.Pool``; each
-  worker process lazily builds its slices from a pickled descriptor
-  (the directory store ships as its root path and re-attaches), and
-  chunk results stream back through ``imap_unordered``.
+  :class:`~concurrent.futures.ThreadPoolExecutor`, one task per worker;
+  results are yielded as tasks land (the asynchronous combine).
+* ``process`` — one single-process ``fork``-context
+  ``multiprocessing.Pool`` per worker id; each worker process lazily
+  builds its slice from a pickled descriptor (the directory store
+  ships as its root path and re-attaches).
 
 Whatever the backend, results are **bit-identical** to the sequential
 engine: row strips are disjoint, so the combine order cannot change a
-single output bit, and each shard's kernel runs on the same warmed
-tiling the sequential path would use.  The coordinator re-emits launch
-records in ascending shard order, so the modeled timeline (and the
-production replay log) is deterministic too — only the ``device=`` /
-``worker=`` tag parts say where a shard actually ran.
-
-Prefetch: while a chunk computes shard *i*, a lookahead walker touches
-the mmap pages of shards ``i+1 .. i+depth`` of the same chunk, so the
-page-in cost overlaps the current kernel.  Load/evict bytes caused by
-a prefetch are parked per shard and claimed by the compute that
-consumes it — the launch record stream is identical with prefetch on
-or off.
+single output bit, and each shard's kernel runs on the same tiling the
+sequential path would use.  The coordinator re-emits launch records in
+ascending shard order, so the modeled timeline (and the production
+replay log) is deterministic too — only the ``device=`` / ``worker=``
+tag parts say where a shard actually ran.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.selection import SPMM_MERGE_PATH
-from ..core.spmm_kernels import (row_tile_imbalance,
-                                 spmm_merge_path_kernel,
-                                 spmm_row_warp_kernel)
 from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
 from ..gpusim import KernelCounters
 from ..runtime import OperatorPlan, PlanCache
 from ..semiring import Semiring
+from ..shards.engine import _pattern_view, spmm_shard_kernel
 from ..shards.store import ResidentSetManager
 from ..tiles.tiled_matrix import TiledMatrix
 from .config import ParallelConfig
-from .work import WorkChunk, WorkPlan
+from .work import WorkPlan
 
 __all__ = ["ShardResult", "WorkerSlice", "ParallelExecutor"]
-
-#: The arrays of a tiled shard whose pages the prefetcher touches.
-_TILED_ARRAYS = ("tile_ptr", "tile_colidx", "tile_nnz_ptr",
-                 "local_row", "local_col", "values")
-
-_PAGE = 4096
-
-
-def _touch_pages(tiled: TiledMatrix) -> int:
-    """Read one byte per page of every payload array (best effort).
-
-    Forces the OS to fault mmap pages in ahead of the kernel; on an
-    in-memory store it is a cheap strided read.  Returns pages touched.
-    """
-    touched = 0
-    for name in _TILED_ARRAYS:
-        arr = np.ascontiguousarray(getattr(tiled, name)) \
-            if not getattr(tiled, name).flags["C_CONTIGUOUS"] \
-            else getattr(tiled, name)
-        raw = arr.view(np.uint8).reshape(-1)
-        if raw.size:
-            touched += int(raw[::_PAGE].size)
-            # the sum forces the reads; the value is irrelevant
-            int(raw[::_PAGE].sum())
-    return touched
 
 
 @dataclass
@@ -104,7 +75,6 @@ class ShardResult:
     counters: Optional[KernelCounters]
     loaded: int = 0
     evicted: int = 0
-    prefetched: bool = False
 
 
 class WorkerSlice:
@@ -124,13 +94,6 @@ class WorkerSlice:
         self.plan_token = plan_token
         self._plans: Dict[int, OperatorPlan] = {}
         self._lock = threading.Lock()
-        # load/evict bytes a prefetch caused, claimed by the compute
-        # that consumes the shard (keeps the launch stream identical
-        # with prefetch on or off)
-        self._pending_loads: Dict[int, int] = {}
-        self._pending_evicts: Dict[int, int] = {}
-        self._was_prefetched: set = set()
-        self.prefetches = 0
 
     # ------------------------------------------------------------------
     def _plan_key(self, sid: int):
@@ -142,12 +105,12 @@ class WorkerSlice:
             self.cache.remove(self._plan_key(sid))
 
     def _get_plan(self, sid: int, tiled: TiledMatrix) -> OperatorPlan:
-        from ..shards.engine import _warm_active_set
-
+        # no eager warming: every accessor a kernel reads caches itself
+        # on first use, and a reload rebuilds only what is read again
         def build() -> OperatorPlan:
-            return OperatorPlan(
-                kind="sharded-spmspv", key=self._plan_key(sid),
-                data={"tiled": _warm_active_set(tiled)})
+            return OperatorPlan(kind="sharded-spmspv",
+                                key=self._plan_key(sid),
+                                data={"tiled": tiled})
 
         if self.cache is not None:
             plan = self.cache.get_or_build(self._plan_key(sid), build,
@@ -160,50 +123,52 @@ class WorkerSlice:
         return plan
 
     def _execution_tiling(self, plan: OperatorPlan) -> TiledMatrix:
-        from ..shards.engine import _pattern_view
         if not self.pattern_only:
             return plan.data["tiled"]
         return plan.lazy_get(
             "pattern", lambda: _pattern_view(plan.data["tiled"]))
 
     # ------------------------------------------------------------------
-    def prefetch(self, sid: int) -> None:
-        """Fault the shard into this slice and touch its pages; the
-        I/O bytes are parked for the compute that will claim them."""
-        sid = int(sid)
-        with self._lock:
-            if sid in self.resident.resident_ids:
-                return
-            tiled, loaded, evicted = self.resident.get(sid)
-            if loaded:
-                self._pending_loads[sid] = \
-                    self._pending_loads.get(sid, 0) + loaded
-            if evicted:
-                self._pending_evicts[sid] = \
-                    self._pending_evicts.get(sid, 0) + evicted
-            self._was_prefetched.add(sid)
-        _touch_pages(tiled)
-        self.prefetches += 1
+    def streamed(self, sids) -> set:
+        """The shards of a queue that stream through this slice
+        (loaded, run, evicted) instead of staying resident.
+
+        The smallest shards are kept as long as they leave room for
+        the largest of the rest, which then pass through that room one
+        at a time.  A queue that fits is kept whole.  The split depends
+        only on the queue and the shard sizes, so a repeated queue
+        finds the same shards resident and pays the same loads.
+        """
+        budget = self.resident.budget_bytes
+        if budget is None:
+            return set()
+        by_size = sorted(sids, key=lambda s: (self.store.nbytes(s), s))
+        sizes = [self.store.nbytes(s) for s in by_size]
+        kept = 0
+        for i, nbytes in enumerate(sizes):
+            largest_rest = sizes[-1] if i + 1 < len(sizes) else 0
+            if kept + nbytes + largest_rest > budget:
+                return set(by_size[i:])
+            kept += nbytes
+        return set()
 
     def run_shard(self, sid: int, xts, batched: bool,
                   with_counters: bool, worker_label: str,
-                  spmm_selector=None) -> ShardResult:
+                  spmm_selector=None, stream: bool = False
+                  ) -> ShardResult:
         """Execute one shard exactly as the sequential engine would.
 
         ``spmm_selector`` switches the shard into SpMM mode: ``xts``
         then holds one :class:`~repro.vectors.dense_block.DenseBlock`
         and the selector picks row-per-warp vs merge-path on the
         shard's own row-tile imbalance (cached on the shard plan, as
-        in the sequential engine).
+        in the sequential engine).  ``stream`` evicts the shard once
+        it has run; its bytes join the shard's own eviction charge.
         """
         sid = int(sid)
         sr = self.semiring
         with self._lock:
             tiled, loaded, evicted = self.resident.get(sid)
-            loaded += self._pending_loads.pop(sid, 0)
-            evicted += self._pending_evicts.pop(sid, 0)
-            prefetched = sid in self._was_prefetched
-            self._was_prefetched.discard(sid)
             self.resident.pin(sid)
         key = self._plan_key(sid)
         try:
@@ -213,12 +178,7 @@ class WorkerSlice:
             try:
                 A = self._execution_tiling(plan)
                 if spmm_selector is not None:
-                    imb = plan.lazy_get(
-                        "spmm_imbalance",
-                        lambda: row_tile_imbalance(A))
-                    fn = spmm_merge_path_kernel \
-                        if spmm_selector.choose_spmm(imb) \
-                        == SPMM_MERGE_PATH else spmm_row_warp_kernel
+                    fn = spmm_shard_kernel(plan, A, spmm_selector)
                     Yb, counters = fn(A, xts[0], semiring=sr,
                                       with_counters=with_counters)
                     Ys = [Yb]
@@ -236,6 +196,8 @@ class WorkerSlice:
         finally:
             with self._lock:
                 self.resident.unpin(sid)
+                if stream:
+                    evicted += self.resident.evict(sid)
         outs = []
         for y_strip in Ys:
             if y_strip.ndim == 2:
@@ -248,60 +210,34 @@ class WorkerSlice:
         return ShardResult(
             sid=sid, device=self.wid, worker=worker_label, outs=outs,
             counters=counters if with_counters else None,
-            loaded=loaded, evicted=evicted, prefetched=prefetched)
+            loaded=loaded, evicted=evicted)
 
     def stats(self) -> Dict[str, int]:
-        out = self.resident.stats()
-        out["prefetches"] = self.prefetches
-        return out
+        return self.resident.stats()
 
 
 # ----------------------------------------------------------------------
-# chunk execution (shared by every backend; runs where the slice lives)
+# one worker's task (shared by every backend; runs where the slice lives)
 # ----------------------------------------------------------------------
 def _run_chunk(slc: WorkerSlice, sids, xts, batched: bool,
-               with_counters: bool, depth: int, overlap: bool,
-               worker_label: str,
+               with_counters: bool, worker_label: str,
                spmm_selector=None) -> List[ShardResult]:
-    """Run one chunk's shards in order, with lookahead prefetch.
-
-    ``overlap=True`` (pool backends) walks the prefetcher on a short-
-    lived background thread so page-in overlaps the current kernel;
-    ``overlap=False`` (serial backend) touches the lookahead window
-    synchronously — no overlap to model, but the same launch stream.
-    """
-    progress = {"done": 0}
-    walker = None
-    if depth > 0 and len(sids) > 1 and overlap:
-        def _walk():
-            for j in range(1, len(sids)):
-                while j > progress["done"] + depth:
-                    time.sleep(0.0005)
-                try:
-                    slc.prefetch(sids[j])
-                except Exception:      # prefetch is best-effort only
-                    return
-        walker = threading.Thread(target=_walk, daemon=True)
-        walker.start()
-    results = []
-    for i, sid in enumerate(sids):
-        if depth > 0 and not overlap:
-            for nxt in sids[i + 1:i + 1 + depth]:
-                slc.prefetch(nxt)
-        results.append(slc.run_shard(sid, xts, batched, with_counters,
-                                     worker_label,
-                                     spmm_selector=spmm_selector))
-        progress["done"] = i + 1
-    if walker is not None:
-        walker.join(timeout=10.0)
-    return results
+    """Run one worker's whole queue: the shards its slice keeps first,
+    then the streamed ones, each in planned order."""
+    streamed = slc.streamed(sids)
+    order = ([s for s in sids if s not in streamed]
+             + [s for s in sids if s in streamed])
+    return [slc.run_shard(sid, xts, batched, with_counters,
+                          worker_label, spmm_selector=spmm_selector,
+                          stream=sid in streamed)
+            for sid in order]
 
 
 # ----------------------------------------------------------------------
 # shared thread pool (thread backend)
 # ----------------------------------------------------------------------
 #: One process-wide pool serves every thread-backend executor.  Worker
-#: identity lives in the WorkerSlice an executor hands each chunk, not
+#: identity lives in the WorkerSlice an executor hands each task, not
 #: in which OS thread runs it, so sharing threads is semantically
 #: neutral — and it avoids spawning (then GC-finalizing) a pool per
 #: engine, which under an env-wide REPRO_WORKERS setting meant
@@ -347,38 +283,29 @@ def _process_slice(wid: int) -> WorkerSlice:
     return slc
 
 
-def _process_chunk(task) -> Tuple[List[ShardResult], Tuple[int, int],
+def _process_queue(task) -> Tuple[List[ShardResult], Tuple[int, int],
                                   Dict[str, int]]:
-    wid, sids, xts, batched, with_counters, depth, spmm_selector = task
+    wid, sids, xts, batched, with_counters, spmm_selector = task
     slc = _process_slice(wid)
     # the worker label is the stable scheduler worker id, not the OS
     # pid: launch tags must be deterministic run to run so production
     # replay and the parallel-invariance check can compare them; the
     # real pid travels back in the snapshot key below.
-    results = _run_chunk(slc, sids, xts, batched, with_counters, depth,
-                         overlap=True, worker_label=str(wid),
+    results = _run_chunk(slc, sids, xts, batched, with_counters,
+                         worker_label=str(wid),
                          spmm_selector=spmm_selector)
     return results, (os.getpid(), wid), slc.stats()
 
 
 # ----------------------------------------------------------------------
-@dataclass
-class _ExecStats:
-    chunks: int = 0
-    results: int = 0
-    slice_snapshots: Dict[Tuple[int, int], Dict[str, int]] = \
-        field(default_factory=dict)
-
-
 class ParallelExecutor:
     """Dispatches a :class:`~repro.parallel.work.WorkPlan` over a pool.
 
-    Owns the worker slices (in-process backends) or the process pool
-    and its slice descriptors (process backend).  ``run()`` is a
-    generator yielding :class:`ShardResult` in **completion order** —
-    the coordinator merges each result into the output accumulator the
-    moment it lands (the asynchronous scatter-gather combine) and
-    re-orders only the *launch records*, never the data.
+    Owns the worker slices (in-process backends) or the process pools
+    and their slice descriptor (process backend).  ``run()`` is a
+    generator yielding :class:`ShardResult` task by task — the
+    coordinator merges each result into the output accumulator right
+    away and re-orders only the *launch records*, never the data.
     """
 
     def __init__(self, matrix, config: ParallelConfig,
@@ -392,8 +319,9 @@ class ParallelExecutor:
         self.semiring = semiring
         self.pattern_only = bool(pattern_only)
         budget = config.slice_budget(matrix.resident.budget_bytes)
-        self._budget = budget
-        self._stats = _ExecStats()
+        self.tasks = 0
+        self.results = 0
+        self._slice_snapshots: Dict[Tuple[int, int], Dict[str, int]] = {}
         self._pools: List = []
         self.slices: List[WorkerSlice] = []
         if self.backend != "process":
@@ -414,78 +342,64 @@ class ParallelExecutor:
             import multiprocessing
             ctx = multiprocessing.get_context("fork")
             # one dedicated single-process pool per worker id: a
-            # shared pool would hand chunks to arbitrary processes, so
+            # shared pool would hand queues to arbitrary processes, so
             # which slice's resident set a shard warms (and hence the
-            # shard_load launch stream) would vary run to run.  Pinning
-            # chunk ``c.worker`` to pool ``c.worker`` makes residency —
-            # and every counter downstream of it — deterministic, same
-            # as the thread backend's stable in-process slices.
+            # shard_load launch stream) would vary run to run.
             self._pools = [ctx.Pool(1, initializer=_process_init,
                                     initargs=(self._payload,))
                            for _ in range(self.workers)]
 
-    def run(self, plan: WorkPlan, xts, batched: bool,
-            with_counters: bool,
-            spmm_selector=None) -> Iterator[ShardResult]:
-        """Execute the plan; yield results as they complete."""
-        depth = self.config.prefetch_depth
-        chunks: List[WorkChunk] = plan.chunks
-        self._stats.chunks += len(chunks)
+    def _worker_results(self, plan: WorkPlan, xts, batched: bool,
+                        with_counters: bool, spmm_selector
+                        ) -> Iterator[List[ShardResult]]:
+        queues = [(w, sids) for w, sids in enumerate(plan.per_worker)
+                  if sids]
+        self.tasks += len(queues)
         if self.backend == "serial":
-            for c in chunks:
-                for res in _run_chunk(self.slices[c.worker], c.sids,
-                                      xts, batched, with_counters,
-                                      depth, overlap=False,
-                                      worker_label=str(c.worker),
-                                      spmm_selector=spmm_selector):
-                    self._stats.results += 1
-                    yield res
+            for w, sids in queues:
+                yield _run_chunk(self.slices[w], sids, xts, batched,
+                                 with_counters, str(w), spmm_selector)
         elif self.backend == "thread":
             from concurrent.futures import as_completed
             spawn = _shared_thread_pool().submit
-            futs = [spawn(_run_chunk, self.slices[c.worker], c.sids, xts,
-                          batched, with_counters, depth, True,
-                          str(c.worker), spmm_selector)
-                    for c in chunks]
+            futs = [spawn(_run_chunk, self.slices[w], sids, xts,
+                          batched, with_counters, str(w), spmm_selector)
+                    for w, sids in queues]
             for fut in as_completed(futs):
-                for res in fut.result():
-                    self._stats.results += 1
-                    yield res
+                yield fut.result()
         else:
             self._ensure_pool()
-            pending = [self._pools[c.worker].apply_async(
-                           _process_chunk,
-                           ((c.worker, c.sids, xts, batched,
-                             with_counters, depth, spmm_selector),))
-                       for c in chunks]
-            while pending:
-                still = []
-                for ar in pending:
-                    if ar.ready():
-                        results, key, snap = ar.get()
-                        self._stats.slice_snapshots[key] = snap
-                        for res in results:
-                            self._stats.results += 1
-                            yield res
-                    else:
-                        still.append(ar)
-                pending = still
-                if pending:
-                    pending[0].wait(0.002)
+            pending = [self._pools[w].apply_async(
+                           _process_queue,
+                           ((w, sids, xts, batched, with_counters,
+                             spmm_selector),))
+                       for w, sids in queues]
+            for ar in pending:
+                results, key, snap = ar.get()
+                self._slice_snapshots[key] = snap
+                yield results
+
+    def run(self, plan: WorkPlan, xts, batched: bool,
+            with_counters: bool,
+            spmm_selector=None) -> Iterator[ShardResult]:
+        """Execute the plan; yield each worker task's results once the
+        task finishes (thread backend: in completion order)."""
+        for results in self._worker_results(plan, xts, batched,
+                                            with_counters, spmm_selector):
+            self.results += len(results)
+            yield from results
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:
         """Aggregated slice traffic (summed across workers)."""
         snaps = ([s.stats() for s in self.slices]
-                 or list(self._stats.slice_snapshots.values()))
+                 or list(self._slice_snapshots.values()))
         keys = ("loads", "hits", "evictions", "loaded_bytes",
-                "evicted_bytes", "resident_shards", "resident_bytes",
-                "prefetches")
+                "evicted_bytes", "resident_shards", "resident_bytes")
         out = {k: sum(int(s.get(k, 0)) for s in snaps) for k in keys}
-        out["chunks"] = self._stats.chunks
-        out["results"] = self._stats.results
-        pids = sorted({pid for pid, _ in
-                       self._stats.slice_snapshots})
+        out["tasks"] = self.tasks
+        out["results"] = self.results
+        pids = sorted({pid for pid, _ in self._slice_snapshots})
         if pids:
             out["worker_pids"] = pids
         return out

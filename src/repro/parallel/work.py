@@ -16,10 +16,9 @@ lightest queue by more than the shard's own cost — the classic
 balance-vs-locality trade, resolved in favour of locality until it
 costs more than it saves.
 
-Each worker's ordered shard list is then cut into up to
-``steal_chunks`` task chunks (largest first across workers), so pool
-backends dispatch chunk-by-chunk and an idle slot picks up the tail of
-a straggler's queue instead of waiting on the barrier.
+Each worker's shard list (:attr:`WorkPlan.per_worker`, heaviest
+first) is its queue: the executor runs it as one in-order task on that
+worker (see :mod:`repro.parallel.executor`).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Dict, List
 
 import numpy as np
 
-__all__ = ["WorkItem", "WorkChunk", "WorkPlan", "WorkScheduler"]
+__all__ = ["WorkItem", "WorkPlan", "WorkScheduler"]
 
 
 @dataclass(frozen=True)
@@ -42,22 +41,12 @@ class WorkItem:
     stolen: bool = False    # moved off its sticky worker this plan
 
 
-@dataclass(frozen=True)
-class WorkChunk:
-    """A contiguous run of one worker's queue, dispatched as one task."""
-
-    worker: int
-    sids: tuple
-    cost: float
-
-
 @dataclass
 class WorkPlan:
     """The placement of one multiply's executed shards."""
 
     workers: int
     items: List[WorkItem] = field(default_factory=list)
-    chunks: List[WorkChunk] = field(default_factory=list)
 
     @property
     def per_worker(self) -> List[List[int]]:
@@ -80,8 +69,7 @@ class WorkPlan:
     @property
     def imbalance(self) -> float:
         """max/mean worker load — 1.0 is a perfect balance."""
-        loads = [ld for ld in self.loads]
-        busy = [ld for ld in loads if ld > 0] or [0.0]
+        loads = self.loads
         mean = sum(loads) / self.workers
         return (max(loads) / mean) if mean > 0 else 1.0
 
@@ -115,16 +103,12 @@ class WorkScheduler:
         Worker count (fixed for the scheduler's lifetime).
     affinity:
         Honour sticky shard→worker placement across multiplies.
-    steal_chunks:
-        Chunks each worker's queue is cut into for dynamic stealing.
     """
 
-    def __init__(self, matrix, workers: int, affinity: bool = True,
-                 steal_chunks: int = 2):
+    def __init__(self, matrix, workers: int, affinity: bool = True):
         self.matrix = matrix
         self.workers = int(workers)
         self.affinity = bool(affinity)
-        self.steal_chunks = max(1, int(steal_chunks))
         #: sid -> worker that last executed it (updated every plan).
         self.sticky: Dict[int, int] = {}
         self.plans = 0
@@ -186,29 +170,8 @@ class WorkScheduler:
             loads[target] += cost
             plan.items.append(WorkItem(sid, cost, target, stolen))
             self.sticky[sid] = target
-        plan.chunks = self._cut_chunks(plan)
         self.plans += 1
         return plan
-
-    def _cut_chunks(self, plan: WorkPlan) -> List[WorkChunk]:
-        chunks: List[WorkChunk] = []
-        for worker, sids in enumerate(plan.per_worker):
-            if not sids:
-                continue
-            by_sid = {i.sid: i.cost for i in plan.items
-                      if i.worker == worker}
-            n_chunks = min(self.steal_chunks, len(sids))
-            bounds = np.linspace(0, len(sids), n_chunks + 1).astype(int)
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                if hi > lo:
-                    part = tuple(sids[lo:hi])
-                    chunks.append(WorkChunk(
-                        worker, part,
-                        sum(by_sid[s] for s in part)))
-        # heaviest chunks dispatch first: pool slots start on the long
-        # poles, the short tails backfill
-        chunks.sort(key=lambda c: (-c.cost, c.worker, c.sids))
-        return chunks
 
     def seed_affinity(self, sid: int, worker: int) -> None:
         """Pin a shard's preferred worker ahead of planning (the batch

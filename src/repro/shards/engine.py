@@ -19,10 +19,13 @@ runs four modeled stages, all visible on the device timeline:
    result once).  The shard-count-invariance check recomputes this
    formula from the timeline tags and asserts equality.
 
-Per-shard preprocessing (the warmed active-set accessors) is cached in
-the plan cache under ``("sharded-spmspv", matrix-id, shard-id)``; the
-entry is pinned while the shard's kernel is in flight and invalidated
-when the resident-set manager evicts the shard.
+Per-shard plans are cached in the plan cache under
+``("sharded-spmspv", matrix-id, shard-id)``; the entry is pinned while
+the shard's kernel is in flight and invalidated when the resident-set
+manager evicts the shard.  A plan holds the shard's tiling and
+whatever its kernels derive from it (pattern view, SpMM row-tile
+imbalance); the tiling's own accessors cache on first use, so a
+reloaded shard rebuilds only what its kernel reads again.
 
 Row strips are tile-row aligned, so each output row is produced by
 exactly one shard and the combiner merges disjoint ranges into an
@@ -33,7 +36,7 @@ With ``REPRO_WORKERS=N`` (or an explicit
 :class:`~repro.parallel.ParallelConfig`) the per-shard stage runs on
 the worker-pool executor instead of the sequential loop: a cost-model
 work scheduler places shards on workers, each worker executes its
-chunk against its private resident-set slice, and the combiner merges
+queue against its private resident-set slice, and the combiner merges
 results as they land.  Launch records are re-emitted in ascending
 shard order with ``device=<id>;worker=<id>`` tag parts, so the
 timeline (and the production replay log) stays deterministic and
@@ -48,8 +51,11 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from ..core.spmspv import (_warm_active_set, apply_output_mask,
-                           as_tiled_vector)
+from ..core.selection import SPMM_MERGE_PATH
+from ..core.spmm_kernels import (row_tile_imbalance,
+                                 spmm_merge_path_kernel,
+                                 spmm_row_warp_kernel)
+from ..core.spmspv import apply_output_mask, as_tiled_vector
 from ..core.spmspv_kernels import batched_union_kernel, tiled_kernel
 from ..errors import ShapeError
 from ..gpusim import Device, KernelCounters
@@ -62,7 +68,7 @@ from ..vectors.sparse_vector import SparseVector
 from .scheduler import ShardScheduler
 from .sharded_matrix import ShardedTiledMatrix
 
-__all__ = ["ShardedSpMSpV"]
+__all__ = ["ShardedSpMSpV", "spmm_shard_kernel"]
 
 VectorLike = Union[SparseVector, TiledVector, np.ndarray]
 
@@ -104,10 +110,21 @@ def _pattern_view(tiled: TiledMatrix) -> TiledMatrix:
     is the exact reachability BFS needs regardless of the stored
     values.  ``validate=False`` — the index arrays are the already
     validated ones of the source tiling."""
-    return _warm_active_set(TiledMatrix(
+    return TiledMatrix(
         tiled.shape, tiled.nt, tiled.tile_ptr, tiled.tile_colidx,
         tiled.tile_nnz_ptr, tiled.local_row, tiled.local_col,
-        np.ones(tiled.nnz, dtype=np.float64), validate=False))
+        np.ones(tiled.nnz, dtype=np.float64), validate=False)
+
+
+def spmm_shard_kernel(plan: OperatorPlan, A: TiledMatrix, selector):
+    """The SpMM kernel ``selector`` picks for one shard's tiling ``A``
+    (row-per-warp vs merge-path on the shard's row-tile imbalance,
+    cached on the shard plan: it is a property of the tiling)."""
+    imbalance = plan.lazy_get("spmm_imbalance",
+                              lambda: row_tile_imbalance(A))
+    if selector.choose_spmm(imbalance) == SPMM_MERGE_PATH:
+        return spmm_merge_path_kernel
+    return spmm_row_warp_kernel
 
 
 class ShardedSpMSpV:
@@ -215,8 +232,7 @@ class ShardedSpMSpV:
         return self.cache.get_or_build(
             key,
             lambda: OperatorPlan(
-                kind="sharded-spmspv", key=key,
-                data={"tiled": _warm_active_set(tiled)}),
+                kind="sharded-spmspv", key=key, data={"tiled": tiled}),
             pin=self.matrix)
 
     def _execution_tiling(self, plan: OperatorPlan) -> TiledMatrix:
@@ -260,8 +276,7 @@ class ShardedSpMSpV:
         from ..parallel.executor import ParallelExecutor
         from ..parallel.work import WorkScheduler
         self._work = WorkScheduler(self.matrix, cfg.workers,
-                                   affinity=cfg.affinity,
-                                   steal_chunks=cfg.steal_chunks)
+                                   affinity=cfg.affinity)
         self._executor = ParallelExecutor(
             self.matrix, cfg, self.semiring, self.pattern_only,
             plan_cache=self.cache,
@@ -538,11 +553,8 @@ class ShardedSpMSpV:
         bit-identical to each other, and column ``j`` of the result is
         bit-identical to :meth:`multiply` on column ``j`` of the block.
         """
-        from ..core.selection import SPMM_MERGE_PATH, KernelSelector
+        from ..core.selection import KernelSelector
         from ..core.spmm import as_dense_block
-        from ..core.spmm_kernels import (row_tile_imbalance,
-                                         spmm_merge_path_kernel,
-                                         spmm_row_warp_kernel)
         if output not in ("dense", "sparse"):
             raise ShapeError(f"unknown output mode {output!r}")
         if selector is None:
@@ -595,12 +607,7 @@ class ShardedSpMSpV:
                 self.matrix.resident.pin(sid)
                 try:
                     A = self._execution_tiling(plan)
-                    imb = plan.lazy_get(
-                        "spmm_imbalance",
-                        lambda A=A: row_tile_imbalance(A))
-                    fn = spmm_merge_path_kernel \
-                        if selector.choose_spmm(imb) \
-                        == SPMM_MERGE_PATH else spmm_row_warp_kernel
+                    fn = spmm_shard_kernel(plan, A, selector)
                     Y_strip, counters = fn(A, Xb, semiring=sr,
                                            with_counters=accounting)
                     if accounting:
@@ -649,7 +656,6 @@ class ShardedSpMSpV:
                         "evicted_bytes", "resident_shards",
                         "resident_bytes"):
                 res[key] = res.get(key, 0) + ex.get(key, 0)
-            out["prefetches"] = ex["prefetches"]
             out["workers"] = self._executor.workers
             out["backend"] = self._executor.backend
             out.update(self._work.stats())

@@ -316,6 +316,21 @@ class TiledMatrix:
             self._n_occupied_tile_rows = cached
         return cached
 
+    def n_col_segments(self) -> int:
+        """Number of distinct ``(stored tile, local column)`` pairs
+        (cached) — the dense-block row segments the merge-path SpMM
+        kernel stages.  One boolean scatter over the ``n_tiles * nt``
+        slots, equal to ``np.unique(tile_of_entry * nt +
+        local_col).size`` without the sort."""
+        cached = getattr(self, "_n_col_segments", None)
+        if cached is None:
+            seen = np.zeros(self.n_nonempty_tiles * self.nt, dtype=bool)
+            seen[self.tile_of_entry() * np.int64(self.nt)
+                 + self.local_col64()] = True
+            cached = int(np.count_nonzero(seen))
+            self._n_col_segments = cached
+        return cached
+
     def column_gather(self) -> ColumnGather:
         """The tile-column grouping of the stored structure (cached).
 

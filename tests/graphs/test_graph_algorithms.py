@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ShapeError
 from repro.formats import COOMatrix
-from repro.graphs import connected_components, pagerank, sssp
+from repro.graphs import (connected_components, label_propagation,
+                          multi_pagerank, pagerank, sssp,
+                          triangles_per_vertex)
+from repro.runtime import default_plan_cache
 
 from ..conftest import nx_graph_of, random_graph_coo
 
@@ -168,6 +171,31 @@ class TestPageRank:
     def test_nonsquare_rejected(self):
         with pytest.raises(ShapeError):
             pagerank(COOMatrix.empty((2, 3)))
+
+
+def _seeds(n):
+    seeds = np.full(n, -1, dtype=np.int64)
+    seeds[[0, 7]] = [0, 1]
+    return seeds
+
+
+@pytest.mark.parametrize("run", [
+    lambda A: pagerank(A),
+    lambda A: connected_components(A),
+    lambda A: triangles_per_vertex(A),
+    lambda A: multi_pagerank(A, np.array([0, 3])),
+    lambda A: label_propagation(A, _seeds(A.shape[0])),
+], ids=["pagerank", "connected_components", "triangles_per_vertex",
+        "multi_pagerank", "label_propagation"])
+def test_derived_matrix_plans_stay_out_of_the_global_cache(run):
+    # each call builds its operator on a matrix derived per call, so a
+    # plan cached process-wide could never be hit again
+    coo = random_graph_coo(40, 4.0, seed=9)
+    cache = default_plan_cache()
+    size, misses = len(cache), cache.stats()["misses"]
+    run(coo)
+    # misses too: at capacity, a leaked plan would evict another one
+    assert (len(cache), cache.stats()["misses"]) == (size, misses)
 
 
 class TestSSSP:

@@ -12,15 +12,11 @@ class TestValidation:
         cfg = ParallelConfig()
         assert cfg.workers == 1
         assert cfg.backend == "auto"
-        assert cfg.prefetch_depth == 1
-        assert cfg.steal_chunks == 2
         assert cfg.affinity
 
     @pytest.mark.parametrize("kwargs", [
         {"workers": 0},
         {"backend": "cuda"},
-        {"prefetch_depth": -1},
-        {"steal_chunks": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

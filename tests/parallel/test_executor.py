@@ -1,10 +1,11 @@
-"""Worker-pool executor: bit-identity, prefetch, stats, affinity."""
+"""Worker-pool executor: bit-identity, queue order, stats, affinity."""
 
 import numpy as np
 import pytest
 
 from repro.gpusim import Device
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, WorkerSlice
+from repro.parallel.executor import _run_chunk
 from repro.runtime import BatchQueue
 from repro.semiring import PLUS_TIMES
 from repro.shards import ShardedSpMSpV, ShardedTiledMatrix
@@ -129,33 +130,73 @@ class TestLaunchStream:
             assert any(p.startswith("device=") for p in parts)
             assert any(p.startswith("worker=") for p in parts)
 
-    def test_prefetch_does_not_change_stream(self, coo, vectors):
-        streams = []
-        for depth in (0, 2):
-            dev = Device()
-            op = ShardedSpMSpV(coo, n_shards=6, device=dev,
-                               parallel=thread_cfg(
-                                   2, prefetch_depth=depth))
-            for x in vectors:
-                op.multiply(x, output="dense")
-            streams.append(stream(dev))
-        assert streams[0] == streams[1]
+
+
+class TestQueueOrder:
+    @staticmethod
+    def worker(coo, budget):
+        sm = ShardedTiledMatrix.from_coo(coo, nt=16, n_shards=5)
+        slc = WorkerSlice(0, sm.store.attach(), budget, PLUS_TIMES,
+                          pattern_only=False)
+        x = ShardedSpMSpV(sm)._as_tiled_vector(
+            random_sparse_vector(N, 0.5, seed=5))
+        return sm.store, slc, x
+
+    @staticmethod
+    def smallest_first(store):
+        ids = sorted(store.shard_ids, key=lambda s: (store.nbytes(s), s))
+        return ids, [store.nbytes(s) for s in ids]
+
+    def test_queue_that_fits_is_kept_whole(self, coo):
+        store, slc, _ = self.worker(coo, None)
+        ids = store.shard_ids
+        assert len(ids) == 5
+        assert slc.streamed(ids) == set()
+        _, slc, _ = self.worker(coo, sum(store.nbytes(s) for s in ids))
+        assert slc.streamed(ids) == set()
+
+    def test_smallest_kept_while_room_for_largest(self, coo):
+        store, _, _ = self.worker(coo, None)
+        ids, size = self.smallest_first(store)
+        _, slc, _ = self.worker(coo, size[0] + size[1] + size[-1])
+        assert slc.streamed(ids) == set(ids[2:])
+        # not even the largest fits: everything streams
+        _, slc, _ = self.worker(coo, size[-1] - 1)
+        assert slc.streamed(ids) == set(ids)
+
+    def test_repeated_queue_pays_the_same_loads(self, coo):
+        store, _, _ = self.worker(coo, None)
+        ids, size = self.smallest_first(store)
+        _, slc, x = self.worker(coo, size[0] + size[1] + size[-1])
+        queue = [4, 0, 3, 1, 2]
+        runs = []
+        for _ in range(3):
+            res = _run_chunk(slc, queue, [x], False, False, "0")
+            runs.append(([r.sid for r in res],
+                         [(r.loaded, r.evicted) for r in res],
+                         sorted(slc.resident.resident_ids)))
+        kept = [s for s in queue if s in ids[:2]]
+        streamed = [s for s in queue if s not in ids[:2]]
+        assert runs[0][0] == kept + streamed     # kept first, in order
+        assert runs[1] == runs[2]                # a fixed point
+        assert runs[1][2] == sorted(ids[:2])
+        # the kept shards hit from the second multiply on
+        assert [ld for ld, _ in runs[1][1][:2]] == [0, 0]
 
 
 class TestStats:
     def test_engine_stats_expose_pool_counters(self, coo, vectors):
-        op = ShardedSpMSpV(coo, n_shards=6,
-                           parallel=thread_cfg(2, prefetch_depth=2))
+        op = ShardedSpMSpV(coo, n_shards=6, parallel=thread_cfg(2))
         for x in vectors:
             op.multiply(x, output="dense")
         s = op.stats()
         assert s["workers"] == 2
         assert s["backend"] == "thread"
         assert s["loads"] > 0
-        assert s["prefetches"] > 0
         ex = op._executor.stats()
-        assert ex["chunks"] > 0
-        assert ex["results"] >= ex["chunks"]
+        # one task per worker with a non-empty queue, per multiply
+        assert 0 < ex["tasks"] <= 2 * len(vectors)
+        assert ex["results"] >= ex["tasks"]
 
     def test_process_backend_reports_pids(self, coo, vectors,
                                           tmp_path):
